@@ -37,6 +37,7 @@ pub mod hierarchy;
 pub mod policies;
 pub mod policy;
 pub mod prefetch;
+pub mod private;
 pub mod replay;
 pub mod stats;
 
@@ -44,7 +45,8 @@ pub use cache::{AccessResult, Cache};
 pub use config::CacheConfig;
 pub use hierarchy::{Hierarchy, HierarchyConfig, LevelLatencies};
 pub use policy::{AccessInfo, ReplacementPolicy, UpcomingAccess};
-pub use prefetch::StreamPrefetcher;
+pub use prefetch::{PrefetchRequests, Prefetcher, StreamPrefetcher};
+pub use private::{LruArray, PrivateCache};
 pub use replay::{LlcRecording, RecordedWindow};
 pub use stats::{CacheStats, HierarchyStats};
 

@@ -9,37 +9,106 @@
 /// Maximum simultaneously tracked streams.
 pub const MAX_STREAMS: usize = 16;
 
+// The stream recency stack packs one 4-bit slot number per stream.
+const _: () = assert!(MAX_STREAMS <= 16);
+
 /// How far (in blocks) a miss may land from a stream's head and still be
 /// matched to it.
-const MATCH_WINDOW: i64 = 16;
+pub const MATCH_WINDOW: i64 = 16;
 
 /// Prefetch degree: blocks issued per confirmed-stream advance.
-const DEGREE: usize = 4;
+pub const DEGREE: usize = 4;
 
 /// Prefetch distance: how far ahead of the stream head requests run.
 /// Must outrun the in-flight fill delay modeled by the hierarchy.
-const DISTANCE: i64 = 16;
+pub const DISTANCE: i64 = 16;
 
-#[derive(Debug, Clone, Copy)]
+/// Head of a slot no stream has claimed yet: further from every block
+/// than [`MATCH_WINDOW`], so no miss matches it.
+const UNCLAIMED: i64 = i64::MIN / 2;
+
+#[derive(Debug, Clone, Copy, Default)]
 struct StreamEntry {
-    /// Most recent miss block in this stream.
-    head: i64,
-    /// +1 / -1 once confirmed; 0 while training.
-    direction: i64,
     /// Misses observed while training (direction decided at 2).
     training_misses: u32,
     /// Furthest block already requested, so requests are not re-issued.
     issued_until: i64,
-    /// LRU stamp.
-    last_used: u64,
+}
+
+/// A prefetcher trained on the L1 miss stream, as the private-level step
+/// drives it ([`crate::hierarchy::CorePrivate`]).
+pub trait Prefetcher {
+    /// The prefetch block addresses one miss issues, in issue order.
+    type Requests: AsRef<[u64]>;
+
+    /// Observes an L1 miss to `block`; returns the prefetch block
+    /// addresses to issue (possibly none).
+    fn on_l1_miss(&mut self, block: u64) -> Self::Requests;
+}
+
+/// The at most [`DEGREE`] requests of one confirmed-stream advance, held
+/// inline so the miss path never allocates.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PrefetchRequests {
+    blocks: [u64; DEGREE],
+    len: u8,
+}
+
+impl PrefetchRequests {
+    #[inline]
+    fn push(&mut self, block: u64) {
+        self.blocks[usize::from(self.len)] = block;
+        self.len += 1;
+    }
+}
+
+impl std::ops::Deref for PrefetchRequests {
+    type Target = [u64];
+
+    #[inline]
+    fn deref(&self) -> &[u64] {
+        &self.blocks[..usize::from(self.len)]
+    }
+}
+
+impl AsRef<[u64]> for PrefetchRequests {
+    #[inline]
+    fn as_ref(&self) -> &[u64] {
+        self
+    }
 }
 
 /// A 16-entry stream prefetcher trained on L1 miss blocks.
-#[derive(Debug, Default)]
+///
+/// The streams live in fixed arrays, so neither training nor issuing
+/// allocates. A miss matches the first stream in slot order whose head
+/// lies within [`MATCH_WINDOW`] in an agreeing direction; the scan reads
+/// only the heads and directions and stops at the first match (measured
+/// faster than a branch-free match mask over all 16 slots). A miss no
+/// stream matches claims the least recently used slot. Recency is a
+/// stack of slot numbers packed four bits apiece, most recent first;
+/// it starts out as the slots in descending order, so until all 16 are
+/// claimed the least recent one is the lowest unclaimed slot.
+#[derive(Debug)]
 pub struct StreamPrefetcher {
-    streams: Vec<StreamEntry>,
-    clock: u64,
-    issued: u64,
+    /// Most recent miss block per stream ([`UNCLAIMED`] if none).
+    heads: [i64; MAX_STREAMS],
+    /// +1 / -1 once confirmed; 0 while training.
+    directions: [i64; MAX_STREAMS],
+    streams: [StreamEntry; MAX_STREAMS],
+    /// Slot recency stack, least recent in the top nibble.
+    recency: u64,
+}
+
+impl Default for StreamPrefetcher {
+    fn default() -> Self {
+        StreamPrefetcher {
+            heads: [UNCLAIMED; MAX_STREAMS],
+            directions: [0; MAX_STREAMS],
+            streams: [StreamEntry::default(); MAX_STREAMS],
+            recency: crate::private::empty_stack(MAX_STREAMS),
+        }
+    }
 }
 
 impl StreamPrefetcher {
@@ -48,93 +117,81 @@ impl StreamPrefetcher {
         StreamPrefetcher::default()
     }
 
-    /// Total prefetch requests issued.
-    pub fn issued(&self) -> u64 {
-        self.issued
+    /// Moves `slot` to the front of the recency stack.
+    #[inline]
+    fn touch(&mut self, slot: usize) {
+        let position = crate::private::stack_position(self.recency, slot as u64);
+        self.recency = crate::private::to_front(self.recency, position, slot as u64);
     }
+}
 
-    /// Observes an L1 miss to `block`; returns the prefetch block
-    /// addresses to issue (possibly empty).
-    pub fn on_l1_miss(&mut self, block: u64) -> Vec<u64> {
-        self.clock += 1;
+impl Prefetcher for StreamPrefetcher {
+    type Requests = PrefetchRequests;
+
+    fn on_l1_miss(&mut self, block: u64) -> PrefetchRequests {
         let block = block as i64;
+        let mut requests = PrefetchRequests::default();
 
-        // Match against an existing stream.
-        let mut best: Option<usize> = None;
-        for (i, s) in self.streams.iter().enumerate() {
-            let delta = block - s.head;
-            if delta != 0 && delta.abs() <= MATCH_WINDOW {
-                // Prefer the stream whose direction agrees.
-                let agrees = s.direction == 0 || delta.signum() == s.direction;
-                if agrees {
-                    best = Some(i);
-                    break;
-                }
-            }
-        }
-
-        if let Some(i) = best {
-            let s = &mut self.streams[i];
-            s.last_used = self.clock;
-            let delta = block - s.head;
-            if s.direction == 0 {
-                s.training_misses += 1;
-                if s.training_misses >= 2 {
-                    s.direction = delta.signum();
-                    s.issued_until = block;
-                }
-                s.head = block;
-                return Vec::new();
-            }
-            s.head = block;
-            // Confirmed stream: run requests up to DISTANCE ahead,
-            // starting strictly beyond both the current miss and anything
-            // already issued.
-            let target = block + s.direction * DISTANCE;
-            let mut requests = Vec::new();
-            let mut next = if s.direction > 0 {
-                (s.issued_until + 1).max(block + 1)
-            } else {
-                (s.issued_until - 1).min(block - 1)
+        // Match against an existing stream: the first whose direction
+        // agrees.
+        let matched = self
+            .heads
+            .iter()
+            .zip(&self.directions)
+            .position(|(&head, &direction)| {
+                let delta = block - head;
+                delta != 0
+                    && delta.unsigned_abs() <= MATCH_WINDOW as u64
+                    && (direction == 0 || delta.signum() == direction)
+            });
+        let Some(slot) = matched else {
+            // Claim the least recently used slot for a new stream.
+            let slot = (self.recency >> (4 * (MAX_STREAMS - 1))) as usize;
+            self.touch(slot);
+            self.heads[slot] = block;
+            self.directions[slot] = 0;
+            self.streams[slot] = StreamEntry {
+                training_misses: 1,
+                issued_until: block,
             };
-            while requests.len() < DEGREE
-                && (s.direction > 0 && next <= target || s.direction < 0 && next >= target)
-            {
-                if next >= 0 {
-                    requests.push(next as u64);
-                }
-                s.issued_until = if s.direction > 0 {
-                    s.issued_until.max(next)
-                } else {
-                    s.issued_until.min(next)
-                };
-                next += s.direction;
+            return requests;
+        };
+        self.touch(slot);
+        let delta = block - self.heads[slot];
+        self.heads[slot] = block;
+        let direction = self.directions[slot];
+        let s = &mut self.streams[slot];
+        if direction == 0 {
+            s.training_misses += 1;
+            if s.training_misses >= 2 {
+                self.directions[slot] = delta.signum();
+                s.issued_until = block;
             }
-            self.issued += requests.len() as u64;
             return requests;
         }
-
-        // Allocate a new stream (LRU replacement among the 16).
-        let entry = StreamEntry {
-            head: block,
-            direction: 0,
-            training_misses: 1,
-            issued_until: block,
-            last_used: self.clock,
-        };
-        if self.streams.len() < MAX_STREAMS {
-            self.streams.push(entry);
+        // Confirmed stream: run requests up to DISTANCE ahead, starting
+        // strictly beyond both the current miss and anything already
+        // issued.
+        let target = block + direction * DISTANCE;
+        let mut next = if direction > 0 {
+            (s.issued_until + 1).max(block + 1)
         } else {
-            let lru = self
-                .streams
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, s)| s.last_used)
-                .map(|(i, _)| i)
-                .expect("streams nonempty");
-            self.streams[lru] = entry;
+            (s.issued_until - 1).min(block - 1)
+        };
+        while requests.len() < DEGREE
+            && (direction > 0 && next <= target || direction < 0 && next >= target)
+        {
+            if next >= 0 {
+                requests.push(next as u64);
+            }
+            s.issued_until = if direction > 0 {
+                s.issued_until.max(next)
+            } else {
+                s.issued_until.min(next)
+            };
+            next += direction;
         }
-        Vec::new()
+        requests
     }
 }
 
@@ -185,7 +242,7 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         let mut p2 = StreamPrefetcher::new();
         for b in 0..40u64 {
-            for r in p2.on_l1_miss(b) {
+            for &r in p2.on_l1_miss(b).iter() {
                 assert!(seen.insert(r), "block {r} prefetched twice");
             }
         }
@@ -194,20 +251,18 @@ mod tests {
     #[test]
     fn tracks_at_most_16_streams() {
         let mut p = StreamPrefetcher::new();
+        // Streams at 0, 10_000, ... 390_000; the first 24 are replaced.
         for i in 0..40u64 {
             p.on_l1_miss(i * 10_000);
         }
-        assert!(p.streams.len() <= MAX_STREAMS);
-    }
-
-    #[test]
-    fn issued_counter_matches_requests() {
-        let mut p = StreamPrefetcher::new();
-        let mut total = 0u64;
-        for b in 0..50u64 {
-            total += p.on_l1_miss(b).len() as u64;
-        }
-        assert_eq!(p.issued(), total);
-        assert!(total > 0);
+        let live = p.heads.iter().filter(|&&h| h != UNCLAIMED).count();
+        assert_eq!(live, MAX_STREAMS);
+        // A stream still tracked confirms its direction on its second
+        // miss and prefetches on the third...
+        p.on_l1_miss(390_001);
+        assert!(!p.on_l1_miss(390_002).is_empty());
+        // ...while an evicted one starts over.
+        p.on_l1_miss(1);
+        assert!(p.on_l1_miss(2).is_empty());
     }
 }

@@ -32,12 +32,17 @@ use mrp_trace::codec::{self, FLAG_PREFETCH, LEVEL_MASK, LEVEL_SHIFT};
 use mrp_trace::{AccessKind, MemoryAccess, ServiceLevel, StreamEvent};
 
 use crate::cache::Cache;
-use crate::hierarchy::{CorePrivate, HierarchyConfig};
+use crate::hierarchy::{CorePrivate, HierarchyConfig, LlcSink};
 use crate::policy::UpcomingAccess;
 use crate::stats::{CacheStats, HierarchyStats};
 
 /// Magic of the recording trailer that follows the v2 event stream.
 pub const TRAILER_MAGIC: [u8; 4] = *b"MRPR";
+
+/// Longest recording name [`LlcRecording::read_from`] accepts, in bytes.
+/// Names are workload names; the bound keeps a corrupt length field from
+/// allocating before it is checked.
+pub const MAX_NAME_BYTES: u32 = 4096;
 
 /// Snapshot of the recorded private-level state at a window edge
 /// (warmup/measure boundary or end of recording).
@@ -356,25 +361,6 @@ impl LlcRecording {
         (self.flags[index] & LEVEL_MASK) >> LEVEL_SHIFT == ServiceLevel::Llc.encode()
     }
 
-    // --- recording hooks driven by `CorePrivate::access_recorded` ---
-
-    /// Appends a demand access (level patched later); returns its index.
-    pub(crate) fn push_core(&mut self, access: &MemoryAccess) -> usize {
-        let index = self.pcs.len();
-        self.push_raw(access, 0);
-        index
-    }
-
-    /// Appends an LLC-bound prefetch fill.
-    pub(crate) fn push_prefetch(&mut self, access: &MemoryAccess) {
-        let index = self.pcs.len();
-        self.push_raw(
-            access,
-            FLAG_PREFETCH | (ServiceLevel::Llc.encode() << LEVEL_SHIFT),
-        );
-        self.llc_events.push(index as u32);
-    }
-
     /// Patches the servicing level of demand event `index`; LLC-bound
     /// events join the LLC-order index list (after any prefetch drains
     /// logged during the same access, matching the order a real LLC
@@ -454,7 +440,14 @@ impl LlcRecording {
         let end = read_window(reader)?;
         let mut name_len = [0u8; 4];
         reader.read_exact(&mut name_len)?;
-        let mut name = vec![0u8; u32::from_le_bytes(name_len) as usize];
+        let name_len = u32::from_le_bytes(name_len);
+        if name_len > MAX_NAME_BYTES {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("recording name length {name_len} exceeds {MAX_NAME_BYTES} bytes"),
+            ));
+        }
+        let mut name = vec![0u8; name_len as usize];
         reader.read_exact(&mut name)?;
         let name = String::from_utf8(name)
             .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "non-utf8 recording name"))?;
@@ -543,6 +536,24 @@ fn read_window<R: Read>(reader: &mut R) -> io::Result<RecordedWindow> {
         instructions: u64::from_le_bytes(buf[0..8].try_into().expect("8 bytes")),
         prefetches_issued: u64::from_le_bytes(buf[8..16].try_into().expect("8 bytes")),
     })
+}
+
+/// The recording destination of the private-level step
+/// ([`CorePrivate::access_recorded`]): logs the demand access (level
+/// patched once the step resolves) and every LLC-bound prefetch fill.
+impl LlcSink for LlcRecording {
+    fn core_access(&mut self, access: &MemoryAccess) {
+        self.push_raw(access, 0);
+    }
+
+    fn prefetch_fill(&mut self, fill: &MemoryAccess) {
+        let index = self.pcs.len();
+        self.push_raw(
+            fill,
+            FLAG_PREFETCH | (ServiceLevel::Llc.encode() << LEVEL_SHIFT),
+        );
+        self.llc_events.push(index as u32);
+    }
 }
 
 #[cfg(test)]
@@ -748,6 +759,21 @@ mod tests {
         buffer[trailer_at] = b'X';
         let err = LlcRecording::read_from(&mut buffer.as_slice()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn read_rejects_huge_name_length_without_allocating() {
+        let rec = small_recording(3);
+        let mut buffer = Vec::new();
+        rec.write_to(&mut buffer).expect("write");
+        // The trailer ends with the u32 name length and the name bytes;
+        // claim a 4 GiB name and drop the real one.
+        let len_at = buffer.len() - rec.name().len() - 4;
+        buffer.truncate(len_at);
+        buffer.extend_from_slice(&u32::MAX.to_le_bytes());
+        let err = LlcRecording::read_from(&mut buffer.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("name length"), "{err}");
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! Analytic out-of-order core timing model.
 
-use std::collections::VecDeque;
-
 /// Pipeline parameters (paper §4.1: 4-wide, 128-entry window, 8 stages).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CoreModelConfig {
@@ -20,7 +18,7 @@ impl Default for CoreModelConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct InFlight {
     completes_at: u64,
     instructions: u32,
@@ -43,6 +41,12 @@ struct InFlight {
 /// experiments measure: independent misses overlap up to the window limit
 /// (memory-level parallelism), dependent misses serialize, and IPC
 /// degrades smoothly with MPKI.
+///
+/// The window is a fixed ring of in-flight entries. Every retire carries
+/// at least one instruction (an access plus its `non_memory_before`
+/// gap, 1–256, clamped to the window), and entries leave before their
+/// instructions would overfill the window, so at most `window` entries
+/// are ever in flight.
 #[derive(Debug)]
 pub struct CoreModel {
     config: CoreModelConfig,
@@ -51,7 +55,11 @@ pub struct CoreModel {
     width_shift: Option<u32>,
     cycle: u64,
     issued_instructions: u64,
-    window: VecDeque<InFlight>,
+    /// In-flight entries, oldest at `head`; capacity is a power of two
+    /// of at least `window`.
+    ring: Box<[InFlight]>,
+    head: usize,
+    len: usize,
     window_occupancy: u32,
     previous_completion: u64,
 }
@@ -73,35 +81,51 @@ impl CoreModel {
                 .then(|| config.width.trailing_zeros()),
             cycle: 0,
             issued_instructions: 0,
-            window: VecDeque::new(),
+            ring: vec![InFlight::default(); (config.window as usize).next_power_of_two()]
+                .into_boxed_slice(),
+            head: 0,
+            len: 0,
             window_occupancy: 0,
             previous_completion: 0,
         }
+    }
+
+    #[inline]
+    fn front(&self) -> InFlight {
+        self.ring[self.head]
+    }
+
+    #[inline]
+    fn pop_front(&mut self) {
+        self.window_occupancy -= self.ring[self.head].instructions;
+        self.head = (self.head + 1) & (self.ring.len() - 1);
+        self.len -= 1;
     }
 
     /// Accounts one memory access that completed with `latency` cycles,
     /// representing `instructions` total retired instructions (the access
     /// plus preceding non-memory work); `dependent` serializes it behind
     /// the previous access.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `instructions` is zero: every retire carries the access
+    /// itself, and the fixed window ring relies on it.
     pub fn retire_access(&mut self, instructions: u32, latency: u64, dependent: bool) {
+        assert!(instructions > 0, "a retire carries at least the access");
         let instructions = instructions.min(self.config.window);
         self.issued_instructions += u64::from(instructions);
 
         // Retire already-completed entries for free.
-        while let Some(front) = self.window.front() {
-            if front.completes_at <= self.cycle {
-                self.window_occupancy -= front.instructions;
-                self.window.pop_front();
-            } else {
-                break;
-            }
+        while self.len > 0 && self.front().completes_at <= self.cycle {
+            self.pop_front();
         }
 
         // Stall for window space (in-order retirement).
         while self.window_occupancy + instructions > self.config.window {
-            let front = self.window.pop_front().expect("occupancy implies entries");
-            self.cycle = self.cycle.max(front.completes_at);
-            self.window_occupancy -= front.instructions;
+            debug_assert!(self.len > 0, "occupancy implies entries");
+            self.cycle = self.cycle.max(self.front().completes_at);
+            self.pop_front();
         }
 
         // Issue-bandwidth floor.
@@ -120,20 +144,24 @@ impl CoreModel {
 
         let completes_at = issue_at + latency;
         self.previous_completion = completes_at;
-        self.window.push_back(InFlight {
+        // At most `window` one-or-more-instruction entries fit.
+        debug_assert!(self.len < self.ring.len(), "window ring overflow");
+        let tail = (self.head + self.len) & (self.ring.len() - 1);
+        self.ring[tail] = InFlight {
             completes_at,
             instructions,
-        });
+        };
+        self.len += 1;
         self.window_occupancy += instructions;
     }
 
     /// Cycle count if the core drained its window now.
     pub fn drained_cycles(&self) -> u64 {
-        let last = self
-            .window
-            .back()
-            .map(|e| e.completes_at)
-            .unwrap_or(self.cycle);
+        let last = if self.len == 0 {
+            self.cycle
+        } else {
+            self.ring[(self.head + self.len - 1) & (self.ring.len() - 1)].completes_at
+        };
         last.max(self.cycle)
             .max(self.issued_instructions / u64::from(self.config.width))
     }
@@ -164,7 +192,8 @@ impl CoreModel {
     pub fn reset_counters(&mut self) {
         self.cycle = 0;
         self.issued_instructions = 0;
-        self.window.clear();
+        self.head = 0;
+        self.len = 0;
         self.window_occupancy = 0;
         self.previous_completion = 0;
     }

@@ -11,6 +11,11 @@
 //! printed seed alone: `verify --seed N` replays identical streams
 //! regardless of thread count.
 //!
+//! The summary has one row per policy and one per further pass:
+//! `predictor`, `kernels`, `train-kernel`, `private-levels` (L1/L2 and
+//! prefetcher vs their reference forms) and `core-model` (timing model
+//! vs its `VecDeque` form).
+//!
 //! Besides the fuzzed lockstep sweep, every selected policy is also
 //! checked through the record-once/replay-many path on real workloads
 //! (`--replay-workloads`, 0 to skip): full simulation and replay must
@@ -135,6 +140,26 @@ fn main() -> ExitCode {
             "FAIL"
         }
     );
+    let private_divergences: usize = summary.private_reports.iter().map(|r| r.total).sum();
+    println!(
+        "{:>16}  {:>4}  {private_divergences:>4} divergences",
+        "private-levels",
+        if private_divergences == 0 {
+            "ok"
+        } else {
+            "FAIL"
+        }
+    );
+    let timing_divergences: usize = summary.timing_reports.iter().map(|r| r.total).sum();
+    println!(
+        "{:>16}  {:>4}  {timing_divergences:>4} divergences",
+        "core-model",
+        if timing_divergences == 0 {
+            "ok"
+        } else {
+            "FAIL"
+        }
+    );
     println!(
         "# MIN bound applied to {} of {} policy cells (prefetch jobs excluded)",
         summary.min_checks.0, summary.min_checks.1
@@ -176,6 +201,8 @@ fn main() -> ExitCode {
         m.scalar("predictor_divergences", predictor_divergences as f64);
         m.scalar("kernel_divergences", kernel_divergences as f64);
         m.scalar("train_kernel_divergences", train_kernel_divergences as f64);
+        m.scalar("private_divergences", private_divergences as f64);
+        m.scalar("timing_divergences", timing_divergences as f64);
         m.scalar("total_divergences", summary.total_divergences() as f64);
         m.scalar("replay_clean", if replay_clean { 1.0 } else { 0.0 });
     }
@@ -220,6 +247,22 @@ fn main() -> ExitCode {
         .filter(|(_, r)| !r.is_clean())
     {
         eprintln!("--- train-kernel job {job}:\n{report}");
+    }
+    for (job, report) in summary
+        .private_reports
+        .iter()
+        .enumerate()
+        .filter(|(_, r)| !r.is_clean())
+    {
+        eprintln!("--- private-levels job {job}:\n{report}");
+    }
+    for (job, report) in summary
+        .timing_reports
+        .iter()
+        .enumerate()
+        .filter(|(_, r)| !r.is_clean())
+    {
+        eprintln!("--- core-model job {job}:\n{report}");
     }
     if let Some(shrunk) = &summary.shrunk {
         eprintln!("\n{shrunk}");

@@ -23,6 +23,13 @@
 //!    one-event-at-a-time scalar reference on fuzzed packed-event
 //!    buffers (duplicate offsets, pinned weights, every bounds pair).
 //!
+//! 5. **Private levels and timing model** ([`private_check`],
+//!    [`timing_check`]): the concrete L1/L2 arrays and fixed-array
+//!    prefetcher against the reference cache + `Lru` and the plain
+//!    prefetcher, both through the simulator's one private-level step;
+//!    and the ring-window core model against its `VecDeque` form, on
+//!    fuzzed retire sequences.
+//!
 //! A separately-invoked pillar ([`replay_check`]) proves the
 //! record-once/replay-many fast path bit-identical to full simulation
 //! on real workload traces, per `(policy, workload)` cell.
@@ -36,8 +43,10 @@ pub mod fuzzer;
 pub mod invariants;
 pub mod kernels;
 pub mod lockstep;
+pub mod private_check;
 pub mod reference;
 pub mod replay_check;
+pub mod timing_check;
 
 use std::fmt;
 use std::sync::Arc;
@@ -52,8 +61,10 @@ pub use kernels::{
     check_kernels_job, check_train_kernel_job, run_kernel_check, run_train_kernel_check,
 };
 pub use lockstep::{run_lockstep, run_predictor_lockstep, DualCache, PredictorPair, StreamItem};
-pub use reference::{ReferenceCache, ReferencePredictor};
+pub use private_check::{check_private_job, run_private_check};
+pub use reference::{ReferenceCache, ReferenceCoreModel, ReferencePredictor, ReferencePrefetcher};
 pub use replay_check::{run_replay_check, ReplayCheckSummary, ReplayMismatch};
+pub use timing_check::{check_timing_job, run_timing_check};
 
 /// A policy factory shared across verification jobs. Called once per
 /// lockstep side per stream, so both sides get identically-constructed
@@ -167,6 +178,12 @@ pub struct VerifySummary {
     /// Train-kernel identity reports (batched saturating weight updates
     /// vs the one-event-at-a-time scalar reference), one per job.
     pub train_kernel_reports: Vec<DivergenceReport>,
+    /// Private-level lockstep reports (L1/L2 arrays and prefetcher vs
+    /// their reference forms), one per job.
+    pub private_reports: Vec<DivergenceReport>,
+    /// Timing-model lockstep reports (ring window vs `VecDeque`), one
+    /// per job.
+    pub timing_reports: Vec<DivergenceReport>,
     /// `(applied, total)` MIN-bound checks.
     pub min_checks: (usize, usize),
     /// A minimized reproducer for the first failure, if any failed.
@@ -180,6 +197,8 @@ impl VerifySummary {
             && self.predictor_reports.iter().all(|r| r.is_clean())
             && self.kernel_reports.iter().all(|r| r.is_clean())
             && self.train_kernel_reports.iter().all(|r| r.is_clean())
+            && self.private_reports.iter().all(|r| r.is_clean())
+            && self.timing_reports.iter().all(|r| r.is_clean())
     }
 
     /// Total divergences across all cells, predictor jobs, and kernel
@@ -191,6 +210,8 @@ impl VerifySummary {
             .chain(self.predictor_reports.iter().map(|r| r.total))
             .chain(self.kernel_reports.iter().map(|r| r.total))
             .chain(self.train_kernel_reports.iter().map(|r| r.total))
+            .chain(self.private_reports.iter().map(|r| r.total))
+            .chain(self.timing_reports.iter().map(|r| r.total))
             .sum()
     }
 }
@@ -288,6 +309,11 @@ pub fn run_verification(cfg: &VerifyConfig, policies: &[PolicySpec]) -> VerifySu
     // fuzzed packed-event buffers. Same (seed, job) reproducibility.
     let train_kernel_reports = kernels::run_train_kernel_check(cfg.seed, jobs);
 
+    // Phase 4c: the private levels and the timing model against their
+    // reference forms. Same (seed, job) reproducibility.
+    let private_reports = private_check::run_private_check(cfg.seed, jobs, per_job);
+    let timing_reports = timing_check::run_timing_check(cfg.seed, jobs);
+
     // Phase 5: shrink the first stream-driven failure to a minimal
     // reproducer.
     let shrunk = shrink_first_failure(cfg, per_job, policies, &policy_cells, &predictor_reports);
@@ -301,6 +327,8 @@ pub fn run_verification(cfg: &VerifyConfig, policies: &[PolicySpec]) -> VerifySu
         predictor_reports,
         kernel_reports,
         train_kernel_reports,
+        private_reports,
+        timing_reports,
         min_checks: (applied, cells),
         shrunk,
     }
@@ -416,6 +444,8 @@ mod tests {
         assert_eq!(summary.predictor_reports.len(), 4);
         assert_eq!(summary.kernel_reports.len(), 4);
         assert_eq!(summary.train_kernel_reports.len(), 4);
+        assert_eq!(summary.private_reports.len(), 4);
+        assert_eq!(summary.timing_reports.len(), 4);
         assert!(summary.shrunk.is_none());
         // Jobs 0..4 include one prefetch job (job 3), so 3 of 4 floors apply.
         assert_eq!(summary.min_checks.0, 6);

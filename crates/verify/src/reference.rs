@@ -12,6 +12,14 @@
 //! implementations can be checked against them access by access (see
 //! [`crate::lockstep`]).
 //!
+//! The private levels and the timing model keep their earlier shapes
+//! here too: [`ReferenceCache`] + `Lru` stands in for the concrete
+//! `LruArray` L1/L2 and [`ReferencePrefetcher`] for the fixed-array
+//! stream prefetcher, both driven through the simulator's own
+//! private-level step (see [`crate::private_check`]), and
+//! [`ReferenceCoreModel`] keeps the `VecDeque` window the ring replaced
+//! (see [`crate::timing_check`]).
+//!
 //! Equivalence argument: both caches make identical way choices (the SoA
 //! cache fills `(!valid_mask).trailing_zeros()`, the reference fills the
 //! first `None` way — the same way; both snapshot occupants in way order
@@ -22,13 +30,19 @@
 //! `base[i] + index[i]`, so per-table indices and arena offsets select
 //! the same weights, and both sides apply the same saturation arithmetic.
 
-use mrp_cache::{AccessInfo, AccessResult, CacheConfig, CacheStats, ReplacementPolicy};
+use std::collections::VecDeque;
+
+use mrp_cache::prefetch::{DEGREE, DISTANCE, MATCH_WINDOW, MAX_STREAMS};
+use mrp_cache::{
+    AccessInfo, AccessResult, CacheConfig, CacheStats, Prefetcher, PrivateCache, ReplacementPolicy,
+};
 use mrp_core::context::FeatureContext;
 use mrp_core::feature::Feature;
 use mrp_core::sampler::{
     clamp_confidence, event_feature, event_index, event_is_decrement, partial_tag, Sampler,
 };
 use mrp_core::tables::{WEIGHT_MAX, WEIGHT_MIN};
+use mrp_cpu::CoreModelConfig;
 use mrp_trace::MemoryAccess;
 
 /// The naive array-of-`Option` cache model, driving the same
@@ -138,6 +152,243 @@ impl ReferenceCache {
         self.slots[base + way] = Some(info.block);
         self.policy.on_fill(&info, way as u32);
         AccessResult::Miss { evicted }
+    }
+}
+
+/// A reference cache as a private level: the step only needs hit or
+/// miss.
+impl PrivateCache for ReferenceCache {
+    fn access(&mut self, access: &MemoryAccess, is_prefetch: bool) -> bool {
+        ReferenceCache::access(self, access, is_prefetch).is_hit()
+    }
+
+    fn stats(&self) -> CacheStats {
+        self.stats
+    }
+}
+
+#[derive(Debug, Clone, Copy)]
+struct ReferenceStream {
+    head: i64,
+    direction: i64,
+    training_misses: u32,
+    issued_until: i64,
+    last_used: u64,
+}
+
+/// The stream prefetcher in its plain form: a growable list of streams
+/// scanned with an early exit, a fresh `Vec` of requests per miss, and a
+/// `min_by_key` over per-stream clock stamps for replacement.
+#[derive(Debug, Default)]
+pub struct ReferencePrefetcher {
+    streams: Vec<ReferenceStream>,
+    clock: u64,
+}
+
+impl ReferencePrefetcher {
+    /// Creates an empty prefetcher.
+    pub fn new() -> Self {
+        ReferencePrefetcher::default()
+    }
+}
+
+impl Prefetcher for ReferencePrefetcher {
+    type Requests = Vec<u64>;
+
+    fn on_l1_miss(&mut self, block: u64) -> Vec<u64> {
+        self.clock += 1;
+        let block = block as i64;
+
+        // Match against an existing stream.
+        let mut best: Option<usize> = None;
+        for (i, s) in self.streams.iter().enumerate() {
+            let delta = block - s.head;
+            if delta != 0 && delta.abs() <= MATCH_WINDOW {
+                // Prefer the stream whose direction agrees.
+                let agrees = s.direction == 0 || delta.signum() == s.direction;
+                if agrees {
+                    best = Some(i);
+                    break;
+                }
+            }
+        }
+
+        if let Some(i) = best {
+            let s = &mut self.streams[i];
+            s.last_used = self.clock;
+            let delta = block - s.head;
+            if s.direction == 0 {
+                s.training_misses += 1;
+                if s.training_misses >= 2 {
+                    s.direction = delta.signum();
+                    s.issued_until = block;
+                }
+                s.head = block;
+                return Vec::new();
+            }
+            s.head = block;
+            let target = block + s.direction * DISTANCE;
+            let mut requests = Vec::new();
+            let mut next = if s.direction > 0 {
+                (s.issued_until + 1).max(block + 1)
+            } else {
+                (s.issued_until - 1).min(block - 1)
+            };
+            while requests.len() < DEGREE
+                && (s.direction > 0 && next <= target || s.direction < 0 && next >= target)
+            {
+                if next >= 0 {
+                    requests.push(next as u64);
+                }
+                s.issued_until = if s.direction > 0 {
+                    s.issued_until.max(next)
+                } else {
+                    s.issued_until.min(next)
+                };
+                next += s.direction;
+            }
+            return requests;
+        }
+
+        // Allocate a new stream (LRU replacement among the 16).
+        let entry = ReferenceStream {
+            head: block,
+            direction: 0,
+            training_misses: 1,
+            issued_until: block,
+            last_used: self.clock,
+        };
+        if self.streams.len() < MAX_STREAMS {
+            self.streams.push(entry);
+        } else {
+            let lru = self
+                .streams
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, s)| s.last_used)
+                .map(|(i, _)| i)
+                .expect("streams nonempty");
+            self.streams[lru] = entry;
+        }
+        Vec::new()
+    }
+}
+
+#[derive(Debug, Clone, Copy)]
+struct InFlight {
+    completes_at: u64,
+    instructions: u32,
+}
+
+/// The core timing model with its window as a growable `VecDeque`, the
+/// form `mrp_cpu::CoreModel`'s fixed ring replaced. Same constraints,
+/// same arithmetic (see `CoreModel` for the model itself).
+#[derive(Debug)]
+pub struct ReferenceCoreModel {
+    config: CoreModelConfig,
+    cycle: u64,
+    issued_instructions: u64,
+    window: VecDeque<InFlight>,
+    window_occupancy: u32,
+    previous_completion: u64,
+}
+
+impl ReferenceCoreModel {
+    /// Creates an idle core.
+    pub fn new(config: CoreModelConfig) -> Self {
+        assert!(config.width > 0, "width must be nonzero");
+        assert!(config.window > 0, "window must be nonzero");
+        ReferenceCoreModel {
+            config,
+            cycle: 0,
+            issued_instructions: 0,
+            window: VecDeque::new(),
+            window_occupancy: 0,
+            previous_completion: 0,
+        }
+    }
+
+    /// Accounts one memory access (see `CoreModel::retire_access`).
+    pub fn retire_access(&mut self, instructions: u32, latency: u64, dependent: bool) {
+        let instructions = instructions.min(self.config.window);
+        self.issued_instructions += u64::from(instructions);
+
+        // Retire already-completed entries for free.
+        while let Some(front) = self.window.front() {
+            if front.completes_at <= self.cycle {
+                self.window_occupancy -= front.instructions;
+                self.window.pop_front();
+            } else {
+                break;
+            }
+        }
+
+        // Stall for window space (in-order retirement).
+        while self.window_occupancy + instructions > self.config.window {
+            let front = self.window.pop_front().expect("occupancy implies entries");
+            self.cycle = self.cycle.max(front.completes_at);
+            self.window_occupancy -= front.instructions;
+        }
+
+        // Issue-bandwidth floor.
+        self.cycle = self
+            .cycle
+            .max(self.issued_instructions / u64::from(self.config.width));
+
+        // Dependency serialization.
+        let issue_at = if dependent {
+            self.cycle.max(self.previous_completion)
+        } else {
+            self.cycle
+        };
+
+        let completes_at = issue_at + latency;
+        self.previous_completion = completes_at;
+        self.window.push_back(InFlight {
+            completes_at,
+            instructions,
+        });
+        self.window_occupancy += instructions;
+    }
+
+    /// Cycle count if the core drained its window now.
+    pub fn drained_cycles(&self) -> u64 {
+        let last = self
+            .window
+            .back()
+            .map(|e| e.completes_at)
+            .unwrap_or(self.cycle);
+        last.max(self.cycle)
+            .max(self.issued_instructions / u64::from(self.config.width))
+    }
+
+    /// The core-local clock without draining.
+    pub fn cycle(&self) -> u64 {
+        self.cycle
+    }
+
+    /// Instructions issued so far.
+    pub fn instructions(&self) -> u64 {
+        self.issued_instructions
+    }
+
+    /// Instructions per cycle over everything retired so far.
+    pub fn ipc(&self) -> f64 {
+        let cycles = self.drained_cycles();
+        if cycles == 0 {
+            0.0
+        } else {
+            self.issued_instructions as f64 / cycles as f64
+        }
+    }
+
+    /// Resets the clock and counters at the warmup/measurement boundary.
+    pub fn reset_counters(&mut self) {
+        self.cycle = 0;
+        self.issued_instructions = 0;
+        self.window.clear();
+        self.window_occupancy = 0;
+        self.previous_completion = 0;
     }
 }
 
